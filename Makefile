@@ -11,13 +11,13 @@ test:
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
-# The pipelined-data-path gate: regenerates BENCH_pipeline.json and fails
-# if the batched path does not beat the chunk-serial path >= 3x.
+# The data-path gate: regenerates BENCH_pipeline.json and fails if the
+# RAID-5 2 MiB round-trip drops below 36 MB/s up or 88 MB/s down.
 bench-pipeline:
 	PYTHONPATH=src pytest benchmarks/test_pipeline_throughput.py --benchmark-only
 
 # The streaming gate: regenerates BENCH_stream.json and fails if the
-# 2 MiB streamed round-trip drops below 0.95x pipelined throughput or the
+# 2 MiB streamed round-trip drops below 0.95x upload_file throughput or the
 # multi-GB case exceeds the 64 MiB RSS ceiling.
 bench-stream:
 	PYTHONPATH=src pytest benchmarks/test_pipeline_throughput.py::test_stream_throughput --benchmark-only

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from repro.core import chunking
+from repro.core import streaming
 from repro.core.access_control import AccessController
 from repro.core.audit import AuditLog
 from repro.core.cache import ChunkCache
@@ -71,7 +71,7 @@ from repro.util.rng import SeedLike, derive_rng, spawn_seeds
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.journal import IntentJournal
 
-#: Mean segment size (bytes) above which a streaming window's per-provider
+#: Mean segment size (bytes) at or above which a window's per-provider
 #: shard batch travels over STREAM_PUT/STREAM_GET instead of a MULTI_PUT/
 #: MULTI_GET frame.  Both move exactly one window's shards -- O(window)
 #: memory either way -- but the stream ops pay per-segment framing (and an
@@ -131,11 +131,11 @@ class _ChunkState:
 class _ChunkPlan:
     """One chunk's placement decision, staged before any bytes move.
 
-    The pipelined upload path makes every placement decision (and rng
-    draw) inside the critical section, in the same order the historical
-    chunk-serial loop did, then transfers all plans lock-free.  ``failed``
-    collects shard indices whose put did not land anywhere; ``assigned``
-    is updated in place by write-path failover.
+    The upload path makes every placement decision (and rng draw) inside
+    the critical section, chunk by chunk in serial order, then transfers
+    a whole window of plans lock-free.  ``failed`` collects shard indices
+    whose put did not land anywhere; ``assigned`` is updated in place by
+    write-path failover.
     """
 
     serial: int
@@ -147,16 +147,12 @@ class _ChunkPlan:
     positions: tuple[int, ...]
     failed: list[int] = field(default_factory=list)
     first_error: ProviderError | None = None
-    # Shard checksums computed ahead of commit.  The streaming upload path
-    # fills this right after transfer and drops ``shards`` so a committed
-    # window's bytes do not outlive their window; ``None`` means commit
-    # derives them from ``shards`` as usual.
-    checksums: tuple[str, ...] | None = None
 
 
 @dataclass
 class _FetchJob:
-    """One chunk's retrieval state for the pipelined read path."""
+    """One chunk's retrieval state: resolved under the op lock, fetched
+    lock-free in a batch with the rest of its window."""
 
     serial: int
     entry: ChunkEntry
@@ -187,7 +183,6 @@ class CloudDataDistributor:
         cache: "ChunkCache | None" = None,
         max_transport_workers: int | None = None,
         health: "HealthMonitor | None" = None,
-        pipelined: bool = True,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
@@ -245,10 +240,6 @@ class CloudDataDistributor:
             )
         self.max_transport_workers = max_transport_workers
         self._transport_pool: ThreadPoolExecutor | None = None
-        # Default for the per-call ``pipelined`` switch on upload_file /
-        # get_file; False restores the historical chunk-serial data path
-        # (the benchmark gate measures both against the same fleet).
-        self.pipelined = pipelined
         # Filenames with an upload in flight per client: the duplicate-name
         # check must hold across the lock-free transfer phase.
         self._inflight_uploads: dict[str, set[str]] = {}
@@ -684,11 +675,10 @@ class CloudDataDistributor:
 
         Must run inside the critical section: it consumes rng draws
         (misleading injection, placement) and allocates a virtual id, in
-        exactly the order the chunk-serial loop did, so a fault-free
-        pipelined upload lands byte-identical placement and tables.
-        *load* is the caller's view of per-provider shard counts --
-        pipelined planning passes a working copy it advances per plan,
-        reproducing the loads the serial path would have observed.
+        serial order, so placement does not depend on how the file was
+        windowed.  *load* is the caller's view of per-provider shard
+        counts -- the upload path passes a working copy it advances per
+        plan.
         """
         positions: tuple[int, ...] = ()
         stored = payload
@@ -715,47 +705,17 @@ class CloudDataDistributor:
             positions=positions,
         )
 
-    def _transfer_plan(self, plan: _ChunkPlan) -> None:
-        """Upload one plan's shards, one wire request per shard.
-
-        This is the historical (non-batched) wire behaviour, kept for the
-        ``pipelined=False`` compatibility path and measured against the
-        batched path by the throughput benchmark.
-        """
-
-        def put_shard(assignment: tuple[int, str]) -> None:
-            shard_index, provider_name = assignment
-            self._provider_put(
-                provider_name,
-                shard_key(plan.vid, shard_index),
-                plan.shards[shard_index],
-            )
-
-        # Fan the shard uploads out across the stripe's providers (each
-        # worker talks to a distinct provider); table bookkeeping stays on
-        # this thread.  Every shard is attempted even when one fails, so
-        # failover sees the full damage at once.
-        outcomes = self._transport_map(
-            put_shard, list(enumerate(plan.assigned)), stop_on_error=False
-        )
-        plan.first_error = next(
-            (exc for _, exc in outcomes if exc is not None), None
-        )
-        plan.failed = [i for i, (_, exc) in enumerate(outcomes) if exc is not None]
-
-    def _transfer_plans(
-        self, plans: list[_ChunkPlan], *, use_stream: bool = False
-    ) -> None:
+    def _transfer_plans(self, plans: list[_ChunkPlan]) -> None:
         """Upload many plans' shards, one batched request per provider.
 
         All shards bound for one provider across the whole upload window
-        coalesce into a single MULTI_PUT round-trip (or a per-item loop on
-        backends without a wire), and the per-provider batches fan out
-        concurrently over the transport executor -- chunk-level and
-        shard-level parallelism at once, with no per-chunk barrier.  With
-        ``use_stream`` each provider's shards travel over a STREAM_PUT
-        session (one frame per shard, no aggregate batch payload) --
-        the constant-memory upload path.
+        coalesce into a single round-trip, and the per-provider batches
+        fan out concurrently over the transport executor -- chunk-level
+        and shard-level parallelism at once, with no per-chunk barrier.
+        A batch of large shards travels over a STREAM_PUT session (one
+        frame per shard, no aggregate payload), a batch of small ones in
+        one MULTI_PUT frame (or a per-item loop on backends without a
+        wire); see ``STREAM_SEGMENT_THRESHOLD``.
         """
         by_provider: dict[str, list[tuple[_ChunkPlan, int]]] = {}
         for plan in plans:
@@ -772,15 +732,11 @@ class CloudDataDistributor:
                 (shard_key(plan.vid, shard_index), plan.shards[shard_index])
                 for plan, shard_index in members
             ]
-            if use_stream and (
+            if (
                 sum(len(data) for _, data in items)
                 >= STREAM_SEGMENT_THRESHOLD * len(items)
             ):
                 return self._provider_put_stream(name, items)
-            # Tiny segments ride the batched frame even on the streaming
-            # path: the batch is still just one window's shards for one
-            # provider (same O(window) bound), and per-segment stream
-            # acks would dominate shard bytes this small.
             return self._provider_put_many(name, items)
 
         outcomes = self._transport_map(put_batch, groups, stop_on_error=False)
@@ -800,8 +756,7 @@ class CloudDataDistributor:
 
         The terminal case -- fewer than k shards landed anywhere -- is
         reported, not raised: the caller decides the rollback scope (the
-        single chunk on the legacy path, the whole upload window on the
-        pipelined path).
+        whole upload, or the one staged stripe of an update).
         """
         if plan.failed:
             # Write-path failover: re-place only the failed shards on
@@ -817,8 +772,8 @@ class CloudDataDistributor:
     def _rollback_plan(self, plan: _ChunkPlan) -> None:
         """Best-effort removal of a plan's fleet footprint; frees its id.
 
-        Safe to call lock-free (the pipelined abort path does): only the
-        id allocator touch re-enters the critical section.
+        Safe to call lock-free (the upload abort path does): only the id
+        allocator touch re-enters the critical section.
         """
         self.metrics.counter("distributor_rollbacks_total").inc()
         self.events.emit("upload_rollback", level="warning", vid=plan.vid)
@@ -859,11 +814,7 @@ class CloudDataDistributor:
         self._chunk_state[plan.vid] = _ChunkState(
             stripe=plan.stripe,
             rotation=plan.serial % plan.stripe.width,
-            shard_checksums=(
-                plan.checksums
-                if plan.checksums is not None
-                else tuple(blob_checksum(s) for s in plan.shards)
-            ),
+            shard_checksums=tuple(blob_checksum(s) for s in plan.shards),
         )
         return chunk_index
 
@@ -932,45 +883,6 @@ class CloudDataDistributor:
             for shard_index, name in enumerate(plan.assigned)
         ]
 
-    def _store_chunk(
-        self,
-        payload: bytes,
-        level: PrivacyLevel,
-        serial: int,
-        codec: ErasureCodec,
-        misleading_fraction: float,
-        journal_txn: int | None = None,
-    ) -> int:
-        """Encode, place and upload one chunk; returns its chunk-table index.
-
-        With *journal_txn* set, the shard keys are appended to that open
-        intent transaction before any byte moves, so a crash mid-transfer
-        leaves recovery enough to delete the orphans.
-        """
-        plan = self._plan_chunk(
-            payload, level, serial, codec, misleading_fraction,
-            load=self._provider_load(),
-        )
-        logged = self._plan_put_keys(plan)
-        if journal_txn is not None and self.journal is not None:
-            self.journal.extend(journal_txn, logged)
-        self._transfer_plan(plan)
-        if self._recover_plan(plan):
-            self._rollback_plan(plan)
-            raise plan.first_error
-        if journal_txn is not None and self.journal is not None:
-            # Write-path failover may have relocated shards since the
-            # intent was logged; record the new homes so rollback can
-            # still find every object.
-            moved = [
-                pair
-                for pair in self._plan_put_keys(plan)
-                if pair not in set(logged)
-            ]
-            if moved:
-                self.journal.extend(journal_txn, moved)
-        return self._commit_plan(plan)
-
     def _failover_shards(
         self,
         vid: int,
@@ -1033,8 +945,8 @@ class CloudDataDistributor:
 
         Preference mirrors placement: suspect providers last, then
         cheaper cost tier, then least loaded.  Takes the op lock for its
-        table reads -- write-path failover calls it from the pipelined
-        transfer phase, outside the critical section.
+        table reads -- write-path failover calls it from the lock-free
+        transfer phase.
         """
         with self.op_lock:
             candidates = [
@@ -1056,73 +968,6 @@ class CloudDataDistributor:
         candidates.sort(key=sort_key)
         return [c.name for c in candidates]
 
-    def _fetch_chunk_payload(self, entry: ChunkEntry) -> bytes:
-        """Degraded-read a chunk's stripe and strip misleading bytes.
-
-        Served from the chunk cache when attached (filled on miss,
-        invalidated by update/remove).
-        """
-        self._note_audit(
-            vids=(entry.virtual_id,),
-            providers=(
-                self.provider_table.get(i).name
-                for i in entry.provider_indices
-            ),
-        )
-        if self.cache is not None:
-            cached = self.cache.get(entry.virtual_id)
-            if cached is not None:
-                return cached
-        state = self._chunk_state_for(entry)
-
-        def fetch(shard_index: int) -> bytes:
-            table_index = entry.provider_indices[shard_index]
-            name = self.provider_table.get(table_index).name
-            key = shard_key(entry.virtual_id, shard_index)
-            data = self._provider_get(name, key)
-            expected = state.shard_checksums
-            if (
-                expected is not None
-                and blob_checksum(data) != expected[shard_index]
-            ):
-                # Silently rotten shard: surface it as a failed member so
-                # the degraded read rebuilds from parity instead of
-                # returning corrupt plaintext.
-                self._record_health(
-                    name, ok=False, exc=BlobCorruptedError(key)
-                )
-                raise BlobCorruptedError(
-                    f"shard {key!r} from provider {name!r} does not match "
-                    f"its recorded checksum"
-                )
-            return data
-
-        if self._transport_workers() > 1 and state.stripe.k > 1:
-            # Fan out the data-shard fetches across providers; parity is
-            # still pulled lazily (and serially) only on degraded reads,
-            # matching read_stripe's prefer-data order.
-            data_indices = list(range(state.stripe.k))
-            prefetched = dict(
-                zip(data_indices, self._transport_map(fetch, data_indices))
-            )
-
-            def fetch_prefetched(shard_index: int) -> bytes:
-                outcome = prefetched.get(shard_index)
-                if outcome is None:
-                    return fetch(shard_index)
-                result, exc = outcome
-                if exc is not None:
-                    raise exc
-                return result
-
-            stored, _failed = read_stripe(state.stripe, fetch_prefetched)
-        else:
-            stored, _failed = read_stripe(state.stripe, fetch)
-        payload = remove_misleading(stored, entry.misleading_positions)
-        if self.cache is not None:
-            self.cache.put(entry.virtual_id, payload)
-        return payload
-
     # ------------------------------------------------------------------
     # upload path: split() + distribute()          (Section VI)
     # ------------------------------------------------------------------
@@ -1141,13 +986,27 @@ class CloudDataDistributor:
             )
 
     def _release_upload_slot(self, client: str, filename: str) -> None:
-        """Drop a pipelined upload's in-flight filename reservation."""
+        """Drop an upload's in-flight filename reservation."""
         with self.op_lock:
             inflight = self._inflight_uploads.get(client)
             if inflight is not None:
                 inflight.discard(filename)
                 if not inflight:
                     self._inflight_uploads.pop(client, None)
+
+    def _authorize_upload(
+        self, client: str, password: str, filename: str,
+        level: PrivacyLevel | int,
+    ) -> PrivacyLevel:
+        """Authorize an upload at *level*, auditing a refusal."""
+        pl = PrivacyLevel.coerce(level)
+        try:
+            self._authorize(client, password, pl)
+        except ReproError as exc:
+            self._record_op("upload", client, filename, None,
+                            ok=False, detail=type(exc).__name__)
+            raise
+        return pl
 
     def upload_file(
         self,
@@ -1161,7 +1020,6 @@ class CloudDataDistributor:
         codec: "CodecSpec | str | None" = None,
         misleading_fraction: float = 0.0,
         parallel: bool = False,
-        pipelined: bool | None = None,
     ) -> FileReceipt:
         """Receive a file, split it, and distribute the chunks.
 
@@ -1174,227 +1032,52 @@ class CloudDataDistributor:
         pair.  With ``parallel=True`` shard uploads overlap across
         providers in simulated time.
 
-        ``pipelined`` (default: the distributor-level switch) selects the
-        data path.  The pipelined path holds the op lock only to plan
-        (authorize, split, place, allocate ids) and to commit the tables;
-        the transfer in between batches every shard bound for one
-        provider into a single provider call and fans the providers out
-        concurrently.  ``pipelined=False`` restores the historical
-        chunk-serial path.  Both are atomic: a chunk that cannot reach k
+        The whole file is one window of :mod:`repro.core.streaming`: the
+        op lock is held only to plan (place, allocate ids) and to commit
+        the tables; the transfer in between batches every shard bound
+        for one provider into a single provider call and fans the
+        providers out concurrently.  Atomic: a chunk that cannot reach k
         shards rolls the entire upload back.
         """
-        pl = PrivacyLevel.coerce(level)
-        try:
-            self._authorize(client, password, pl)
-        except ReproError as exc:
-            self._record_op("upload", client, filename, None,
-                            ok=False, detail=type(exc).__name__)
-            raise
-        use_pipeline = self.pipelined if pipelined is None else pipelined
-        if use_pipeline:
-            with self.tracer.span("distributor.upload", client=client):
-                return self._upload_file_pipelined(
-                    client, pl, filename, data, raid_level, stripe_width,
-                    codec, misleading_fraction, parallel,
-                )
-        with self.tracer.span("distributor.upload", client=client), self.op_lock:
-            client_entry = self.client_table.get(client)
-            self._check_new_filename(client, filename)
-            codec_obj = self._resolve_codec(pl, raid_level, stripe_width, codec)
-
-            chunks = chunking.split(data, pl, policy=self.chunk_policy)
-            window = (
-                self._parallel_window() if parallel else contextlib.nullcontext()
-            )
-            stored_refs: list[FileChunkRef] = []
-            txn = None
-            if self.journal is not None:
-                txn = self.journal.begin("upload", client, filename)
-                crashpoint("upload.intent_logged")
-            try:
-                with window:
-                    for chunk in chunks:
-                        chunk_index = self._store_chunk(
-                            chunk.payload, pl, chunk.serial, codec_obj,
-                            misleading_fraction, journal_txn=txn,
-                        )
-                        ref = FileChunkRef(
-                            filename=filename,
-                            serial=chunk.serial,
-                            privacy_level=pl,
-                            chunk_index=chunk_index,
-                        )
-                        client_entry.chunk_refs.append(ref)
-                        stored_refs.append(ref)
-            except (ProviderError, PlacementError) as exc:
-                # Roll back chunks already distributed so the upload is
-                # atomic: either the whole file is stored or none of it is.
-                for ref in stored_refs:
-                    self._delete_chunk(ref)
-                    client_entry.chunk_refs.remove(ref)
-                if txn is not None:
-                    self.journal.abort(txn)
-                self._record_op("upload", client, filename, None,
-                                ok=False, detail=type(exc).__name__)
-                raise
-            if txn is not None:
-                self.journal.commit(
-                    txn,
-                    {
-                        "client": client,
-                        "filename": filename,
-                        "remove": [],
-                        "add": [
-                            self._chunk_spec(client, ref)
-                            for ref in stored_refs
-                        ],
-                    },
-                )
-                crashpoint("upload.committed")
-        self._record_op("upload", client, filename, None, ok=True)
-        return FileReceipt(
-            filename=filename,
-            privacy_level=pl,
-            chunk_count=len(chunks),
-            file_size=len(data),
-            raid_level=codec_obj.raid_level,
-            stripe_width=codec_obj.n,
-            codec=codec_obj.label,
-        )
-
-    def _upload_file_pipelined(
-        self,
-        client: str,
-        pl: PrivacyLevel,
-        filename: str,
-        data: bytes,
-        raid_level: RaidLevel | None,
-        stripe_width: int | None,
-        codec: "CodecSpec | str | None",
-        misleading_fraction: float,
-        parallel: bool,
-    ) -> FileReceipt:
-        """Plan -> transfer -> commit upload (authorization already done).
-
-        Planning emulates the serial path's per-chunk load accounting
-        (each planned shard bumps its provider's count in a working copy
-        of the loads) so a fault-free pipelined upload places every chunk
-        exactly where the chunk-serial loop would have.  The filename is
-        reserved in ``_inflight_uploads`` across the lock-free transfer so
-        a racing duplicate upload is rejected up front.
-        """
-        # -- plan (critical section): rng draws, placement, id allocation --
-        with self.op_lock, self._phase("upload", "plan"):
-            self._check_new_filename(client, filename)
-            codec_obj = self._resolve_codec(pl, raid_level, stripe_width, codec)
-            chunks = chunking.split(data, pl, policy=self.chunk_policy)
-            self._inflight_uploads.setdefault(client, set()).add(filename)
-            plans: list[_ChunkPlan] = []
-            load = self._provider_load()
-            try:
-                for chunk in chunks:
-                    plan = self._plan_chunk(
-                        chunk.payload, pl, chunk.serial, codec_obj,
-                        misleading_fraction, load=load,
-                    )
-                    for name in plan.assigned:
-                        load[name] = load.get(name, 0) + 1
-                    plans.append(plan)
-            except Exception as exc:
-                for plan in plans:
-                    self.ids.release(plan.vid)
-                self._release_upload_slot(client, filename)
-                if isinstance(exc, ReproError):
-                    self._record_op("upload", client, filename, None,
-                                    ok=False, detail=type(exc).__name__)
-                raise
-
-        # -- intent (durable): every key the transfer will create ----------
-        txn = None
-        if self.journal is not None:
-            logged = [
-                pair for plan in plans for pair in self._plan_put_keys(plan)
-            ]
-            txn = self.journal.begin(
-                "upload", client, filename, put_keys=logged
-            )
-            crashpoint("upload.intent_logged")
-
-        # -- transfer (lock-free): batched puts, failover ------------------
-        try:
-            window = (
-                self._parallel_window() if parallel else contextlib.nullcontext()
-            )
-            with window, self._phase("upload", "transfer"):
-                self._transfer_plans(plans)
-                lost = [plan for plan in plans if self._recover_plan(plan)]
-            if lost:
-                # Atomicity: one unrecoverable chunk aborts the whole file.
-                for plan in plans:
-                    self._rollback_plan(plan)
-                if txn is not None:
-                    self.journal.abort(txn)
-                error = lost[0].first_error
-                self._record_op("upload", client, filename, None,
-                                ok=False, detail=type(error).__name__)
-                raise error
-            if txn is not None:
-                # Failover may have relocated shards; log the new homes.
-                moved = [
-                    pair
-                    for plan in plans
-                    for pair in self._plan_put_keys(plan)
-                    if pair not in set(logged)
-                ]
-                if moved:
-                    self.journal.extend(txn, moved)
-            crashpoint("upload.transferred")
-        except BaseException:
-            self._release_upload_slot(client, filename)
-            raise
-
-        # -- commit (critical section): tables and client refs -------------
-        with self.op_lock, self._phase("upload", "commit"):
-            self._release_upload_slot(client, filename)
-            client_entry = self.client_table.get(client)
-            new_refs: list[FileChunkRef] = []
-            for plan in plans:
-                chunk_index = self._commit_plan(plan)
-                ref = FileChunkRef(
-                    filename=filename,
-                    serial=plan.serial,
-                    privacy_level=pl,
-                    chunk_index=chunk_index,
-                )
-                client_entry.chunk_refs.append(ref)
-                new_refs.append(ref)
-            if txn is not None:
-                self.journal.commit(
-                    txn,
-                    {
-                        "client": client,
-                        "filename": filename,
-                        "remove": [],
-                        "add": [
-                            self._chunk_spec(client, ref) for ref in new_refs
-                        ],
-                    },
-                )
-        crashpoint("upload.committed")
-        self._record_op("upload", client, filename, None, ok=True)
-        return FileReceipt(
-            filename=filename,
-            privacy_level=pl,
-            chunk_count=len(chunks),
-            file_size=len(data),
-            raid_level=codec_obj.raid_level,
-            stripe_width=codec_obj.n,
-            codec=codec_obj.label,
+        pl = self._authorize_upload(client, password, filename, level)
+        return streaming.upload(
+            self, client, pl, filename, data,
+            raid_level=raid_level, stripe_width=stripe_width, codec=codec,
+            misleading_fraction=misleading_fraction, parallel=parallel,
         )
 
     # ------------------------------------------------------------------
     # retrieval path: get_chunk() / get_file()      (Sections V and VI)
     # ------------------------------------------------------------------
+
+    def _fetch_job(self, ref: FileChunkRef, filename: str | None) -> _FetchJob:
+        """Resolve one chunk ref: Chunk Table entry -> provider names.
+
+        Must run inside the critical section; consults the cache too.
+        """
+        entry = self.chunk_table.get(ref.chunk_index)
+        return _FetchJob(
+            serial=ref.serial,
+            entry=entry,
+            state=self._chunk_state_for(entry, filename),
+            names=[
+                self.provider_table.get(i).name
+                for i in entry.provider_indices
+            ],
+            cached=(
+                self.cache.get(entry.virtual_id)
+                if self.cache is not None
+                else None
+            ),
+        )
+
+    def _read_chunk(self, ref: FileChunkRef, filename: str) -> bytes:
+        """Fetch one resolved chunk and fill the cache (lock held)."""
+        job = self._fetch_job(ref, filename)
+        self._note_audit(vids=(job.entry.virtual_id,), providers=job.names)
+        payloads = self._read_jobs([job])
+        self._fill_cache([job], payloads)
+        return payloads[0]
 
     def get_chunk(
         self, client: str, password: str, filename: str, serial: int
@@ -1411,23 +1094,20 @@ class CloudDataDistributor:
                     filename, serial
                 )
                 self._authorize(client, password, ref.privacy_level)
-                entry = self.chunk_table.get(ref.chunk_index)
-                return self._fetch_chunk_payload(entry)
+                return self._read_chunk(ref, filename)
 
         return self._audited("get_chunk", client, filename, serial, work)
 
-    def _prefetch_jobs(
-        self, jobs: list[_FetchJob], *, use_stream: bool = False
-    ) -> None:
+    def _prefetch_jobs(self, jobs: list[_FetchJob]) -> None:
         """Batch-fetch every uncached job's data shards, lock-free.
 
-        All data-shard keys bound for one provider across the whole file
-        coalesce into a single ``get_many`` (one MULTI_GET round-trip on
-        remote providers) and the providers fan out concurrently.  Parity
-        members are *not* prefetched -- they are pulled lazily only by
-        degraded reads, matching ``read_stripe``'s prefer-data order.
-        With ``use_stream`` each provider answers over STREAM_GET -- one
-        frame per shard instead of one aggregate MULTI_GET payload.
+        All data-shard keys bound for one provider across the whole
+        window coalesce into a single batched request and the providers
+        fan out concurrently.  Parity members are *not* prefetched --
+        they are pulled lazily only by degraded reads, matching
+        ``read_stripe``'s prefer-data order.  Like uploads, a batch of
+        large shards answers over STREAM_GET (one frame per shard), a
+        batch of small ones in one MULTI_GET payload.
         """
         by_provider: dict[str, list[tuple[_FetchJob, int]]] = {}
         for job in jobs:
@@ -1447,17 +1127,11 @@ class CloudDataDistributor:
                 shard_key(job.entry.virtual_id, shard_index)
                 for job, shard_index in members
             ]
-            if use_stream and (
-                sum(
-                    job.state.stripe.shard_size for job, _ in members
-                )
+            if (
+                sum(job.state.stripe.shard_size for job, _ in members)
                 >= STREAM_SEGMENT_THRESHOLD * len(members)
             ):
                 return self._provider_get_stream(name, keys)
-            # Same adaptive choice as the upload window: shards this
-            # small parse faster out of one aggregate MULTI_GET payload
-            # than as one frame each, and the batch is still one window's
-            # keys (O(window) memory either way).
             return self._provider_get_many(name, keys)
 
         outcomes = self._transport_map(get_batch, groups, stop_on_error=False)
@@ -1502,106 +1176,54 @@ class CloudDataDistributor:
         stored, _failed = read_stripe(state.stripe, fetch)
         return remove_misleading(stored, entry.misleading_positions)
 
+    def _read_jobs(self, jobs: list[_FetchJob]) -> list[bytes]:
+        """Fetch and decode *jobs*, lock-free; frees their shard bytes.
+
+        Shard checksums are verified in one place, ``_assemble_job``: a
+        silently rotten shard reads as a failed member, so the degraded
+        read rebuilds it from parity instead of returning corrupt bytes.
+        """
+        self._prefetch_jobs(jobs)
+        payloads = [self._assemble_job(job) for job in jobs]
+        for job in jobs:
+            job.prefetched.clear()
+        return payloads
+
+    def _fill_cache(self, jobs: list[_FetchJob], payloads: list[bytes]) -> None:
+        """Cache freshly fetched payloads (critical section)."""
+        if self.cache is None:
+            return
+        for job, payload in zip(jobs, payloads):
+            if job.cached is None:
+                self.cache.put(job.entry.virtual_id, payload)
+
     def get_file(
         self,
         client: str,
         password: str,
         filename: str,
         parallel: bool = False,
-        pipelined: bool | None = None,
     ) -> bytes:
         """Fetch and reassemble every chunk of *filename*.
 
-        The pipelined path (default) resolves every chunk's metadata
-        under the op lock, then fetches the data shards of *all* chunks
-        at once -- batched per provider, providers in flight concurrently
-        -- and reassembles into a preallocated buffer.  With
-        ``pipelined=False`` chunks are fetched one at a time, serially.
+        The whole file is one window of :mod:`repro.core.streaming`:
+        every chunk's metadata resolves under the op lock, then the data
+        shards of *all* chunks are fetched at once -- batched per
+        provider, providers in flight concurrently -- and the chunks
+        concatenate in serial order.
 
         With ``parallel=True`` the overlap is also modelled in simulated
         time (one serial chain per provider), the parallel query
         processing Section VII-E credits fragmentation with.
         """
-        use_pipeline = self.pipelined if pipelined is None else pipelined
-
-        def work_serial() -> bytes:
-            with self.op_lock:
-                refs = self.client_table.get(client).refs_for_file(filename)
-                self._authorize(client, password, refs[0].privacy_level)
-                window = (
-                    self._parallel_window()
-                    if parallel
-                    else contextlib.nullcontext()
-                )
-                with window:
-                    chunks = [
-                        chunking.Chunk(
-                            serial=ref.serial,
-                            level=ref.privacy_level,
-                            payload=self._fetch_chunk_payload(
-                                self.chunk_table.get(ref.chunk_index)
-                            ),
-                        )
-                        for ref in refs
-                    ]
-                return chunking.join(chunks)
-
-        def work_pipelined() -> bytes:
-            # Phase 1 (critical section): resolve refs -> entries ->
-            # provider names, and consult the (unsynchronized) cache.
-            with self.op_lock, self._phase("get_file", "resolve"):
-                refs = self.client_table.get(client).refs_for_file(filename)
-                self._authorize(client, password, refs[0].privacy_level)
-                jobs: list[_FetchJob] = []
-                for ref in refs:
-                    entry = self.chunk_table.get(ref.chunk_index)
-                    names = [
-                        self.provider_table.get(i).name
-                        for i in entry.provider_indices
-                    ]
-                    self._note_audit(
-                        vids=(entry.virtual_id,), providers=names
-                    )
-                    jobs.append(
-                        _FetchJob(
-                            serial=ref.serial,
-                            entry=entry,
-                            state=self._chunk_state_for(entry, filename),
-                            names=names,
-                            cached=(
-                                self.cache.get(entry.virtual_id)
-                                if self.cache is not None
-                                else None
-                            ),
-                        )
-                    )
-            # Phase 2 (lock-free): batched fetches, decode, reassemble.
-            window = (
-                self._parallel_window() if parallel else contextlib.nullcontext()
+        with self.tracer.span("distributor.get_file", client=client):
+            return b"".join(
+                streaming.read(self, client, password, filename,
+                               parallel=parallel)
             )
-            with window, self._phase("get_file", "fetch"):
-                self._prefetch_jobs(jobs)
-                payloads = [self._assemble_job(job) for job in jobs]
-            # refs_for_file returns serial order, so the payloads
-            # concatenate in place of a sort+join.
-            out = bytearray(sum(len(p) for p in payloads))
-            offset = 0
-            for payload in payloads:
-                out[offset : offset + len(payload)] = payload
-                offset += len(payload)
-            # Phase 3 (critical section): fill the shared chunk cache.
-            if self.cache is not None:
-                with self.op_lock, self._phase("get_file", "cache_fill"):
-                    for job, payload in zip(jobs, payloads):
-                        if job.cached is None:
-                            self.cache.put(job.entry.virtual_id, payload)
-            return bytes(out)
-
-        work = work_pipelined if use_pipeline else work_serial
-        return self._audited("get_file", client, filename, None, work)
 
     # ------------------------------------------------------------------
-    # constant-memory streaming path (see repro.core.streaming)
+    # bounded-window streaming (see repro.core.streaming)
     # ------------------------------------------------------------------
 
     def put_stream(
@@ -1615,14 +1237,11 @@ class CloudDataDistributor:
     ) -> FileReceipt:
         """Upload from a binary file object with O(window) memory.
 
-        Thin veneer over :func:`repro.core.streaming.put_stream` (lazy
-        import keeps the module dependency one-way); see there for the
-        windowing model and keyword options.
+        Thin veneer over :func:`repro.core.streaming.put_stream`; see
+        there for the windowing model and keyword options.
         """
-        from repro.core.streaming import put_stream
-
-        return put_stream(self, client, password, filename, fileobj, level,
-                          **options)
+        return streaming.put_stream(self, client, password, filename,
+                                    fileobj, level, **options)
 
     def get_stream(
         self, client: str, password: str, filename: str, **options
@@ -1632,9 +1251,8 @@ class CloudDataDistributor:
         Thin veneer over :func:`repro.core.streaming.get_stream`;
         authorization happens eagerly, shard traffic lazily per window.
         """
-        from repro.core.streaming import get_stream
-
-        return get_stream(self, client, password, filename, **options)
+        return streaming.get_stream(self, client, password, filename,
+                                    **options)
 
     def chunk_count(self, client: str, filename: str) -> int:
         """How many chunks *filename* was split into (told to the client)."""
@@ -1790,7 +1408,7 @@ class CloudDataDistributor:
             vid = entry.virtual_id
             state = self._chunk_state_for(entry, filename)
 
-            pre_state = self._fetch_chunk_payload(entry)
+            pre_state = self._read_chunk(ref, filename)
             # Re-inject misleading bytes at the same budget the chunk had.
             fraction = 0.0
             if entry.misleading_positions:
@@ -1822,7 +1440,7 @@ class CloudDataDistributor:
                     put_keys=self._plan_put_keys(plan),
                 )
                 crashpoint("update.intent_logged")
-            self._transfer_plan(plan)
+            self._transfer_plans([plan])
             if self._recover_plan(plan):
                 self._rollback_plan(plan)
                 if txn is not None:
@@ -2045,23 +1663,6 @@ class CloudDataDistributor:
             shards[shard_index] = shard
             rebuilt += 1
         return missing, rebuilt, 0, relocations
-
-    def _choose_replacement(
-        self, level: PrivacyLevel, group_names: set[str], failed_name: str
-    ) -> str | None:
-        """A healthy eligible provider to host a rebuilt shard.
-
-        Returns ``None`` when no healthy eligible provider exists outside
-        the stripe group and the failed provider itself is still down; the
-        caller leaves the chunk degraded rather than doubling up shards on
-        a surviving member (which would forfeit failure independence).
-        """
-        names = self._replacement_candidates(level, set(group_names))
-        if names:
-            return names[0]
-        if self._provider_usable(failed_name):
-            return failed_name  # same provider recovered; re-store there
-        return None
 
     # ------------------------------------------------------------------
     # introspection used by experiments

@@ -131,23 +131,35 @@ def test_distributor_records_lifecycle(audited):
     assert all(e.client == "Bob" for e in log.events)
 
 
-def test_distributor_records_denials(audited):
+#: Both whole-file readers: get_file, and get_stream (which resolves and
+#: authorizes eagerly, then fetches lazily -- drained here).
+READERS = {
+    "get_file": lambda d, *args: d.get_file(*args),
+    "get_stream": lambda d, *args: b"".join(d.get_stream(*args)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_distributor_records_denials(audited, reader):
     d, log = audited
     d.upload_file("Bob", "high", "secret", b"s" * 600, PrivacyLevel.PRIVATE)
     for _ in range(3):
         with pytest.raises(AuthorizationError):
-            d.get_file("Bob", "low", "secret")
+            READERS[reader](d, "Bob", "low", "secret")
     failures = log.failures("Bob")
     assert len(failures) == 3
     assert all(f.detail == "AuthorizationError" for f in failures)
     assert log.auth_failure_streak("Bob") == 3
 
 
-def test_distributor_records_missing_file(audited):
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_distributor_records_missing_file(audited, reader):
     d, log = audited
     with pytest.raises(UnknownFileError):
-        d.get_file("Bob", "high", "ghost")
-    assert log.failures("Bob")[-1].detail == "UnknownFileError"
+        READERS[reader](d, "Bob", "high", "ghost")
+    failure = log.failures("Bob")[-1]
+    assert failure.operation == "get_file"
+    assert failure.detail == "UnknownFileError"
 
 
 def test_failed_upload_recorded(audited):

@@ -18,6 +18,7 @@ fresh distributor over the same on-disk state the way the CLI does
 
 from __future__ import annotations
 
+import io
 from collections import defaultdict
 
 import pytest
@@ -89,13 +90,8 @@ def _op_for(distributor: CloudDataDistributor, point: str):
         return lambda: distributor.update_chunk(
             "Bob", "pw", "victim", 0, NEW_CHUNK
         )
-    # upload.transferred only exists on the pipelined path; the low-level
-    # atomic/disk/journal points fire on either, so let the serial path
-    # cover them.
-    pipelined = point.startswith("upload.")
     return lambda: distributor.upload_file(
-        "Bob", "pw", "crashed", CRASHED, PrivacyLevel.PRIVATE,
-        pipelined=pipelined,
+        "Bob", "pw", "crashed", CRASHED, PrivacyLevel.PRIVATE
     )
 
 
@@ -156,6 +152,52 @@ def test_recovery_restores_invariants(tmp_path, point):
     _assert_no_table_holes(rebooted)
 
 
+#: (kill point, hits to let pass) for a streamed upload of STREAMED_CHUNKS
+#: one-chunk windows.  ``upload.transferred`` fires once per window: the
+#: later hits crash after earlier windows were committed to the tables
+#: but before the file became visible.
+STREAMED_CHUNKS = 4
+STREAM_CRASHES = [
+    ("upload.intent_logged", 0),
+    ("upload.transferred", 0),
+    ("upload.transferred", 1),
+    ("upload.transferred", STREAMED_CHUNKS - 1),
+    ("upload.committed", 0),
+]
+
+
+@pytest.mark.parametrize("point,after", STREAM_CRASHES)
+def test_multi_window_stream_recovers(tmp_path, point, after):
+    distributor = _setup(tmp_path)
+    before = {
+        name: set(entry.provider.keys())
+        for name, entry in ((e.name, e) for e in distributor.registry.all())
+    }
+    # 256-byte PRIVATE chunks; a ragged tail keeps the last window short.
+    data = bytes(range(256)) * (STREAMED_CHUNKS - 1) + b"\x01" * 100
+    with crashing_at(point, after=after) as reached:
+        with pytest.raises(CrashPoint):
+            distributor.put_stream(
+                "Bob", "pw", "streamed", io.BytesIO(data),
+                PrivacyLevel.PRIVATE, window_chunks=1,
+            )
+    assert reached.count(point) == after + 1
+
+    # Journal recovery alone restores the invariants: a read-only fsck
+    # finds no orphaned object and no missing shard.
+    rebooted, _ = boot(tmp_path)
+    report = run_fsck(rebooted)
+    assert report.clean, report.render_text()
+    assert rebooted.get_file("Bob", "pw", "keep") == KEEP
+    try:
+        assert rebooted.get_file("Bob", "pw", "streamed") == data
+    except UnknownFileError:
+        # Rolled back: not one object of the stream may remain.
+        for entry in rebooted.registry.all():
+            assert set(entry.provider.keys()) == before[entry.name]
+    _assert_no_table_holes(rebooted)
+
+
 def test_double_recovery_is_idempotent(tmp_path):
     """Crashing *during recovery's own cleanup* must also be survivable:
     running recovery twice converges to the same state."""
@@ -163,8 +205,7 @@ def test_double_recovery_is_idempotent(tmp_path):
     with crashing_at("upload.transferred"):
         with pytest.raises(CrashPoint):
             distributor.upload_file(
-                "Bob", "pw", "crashed", CRASHED, PrivacyLevel.PRIVATE,
-                pipelined=True,
+                "Bob", "pw", "crashed", CRASHED, PrivacyLevel.PRIVATE
             )
     # First reboot recovers; boot() checkpoints, but replay the same
     # journal again by hand to model a crash before the checkpoint.

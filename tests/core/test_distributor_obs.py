@@ -68,11 +68,20 @@ def test_round_trip_counts_ops_and_phases():
         assert hist.count == 1, phase
 
 
-def test_denied_op_counts_as_error():
+#: Both whole-file readers: get_file, and get_stream (which resolves and
+#: authorizes eagerly, then fetches lazily -- drained here).
+READERS = {
+    "get_file": lambda d, *args: d.get_file(*args),
+    "get_stream": lambda d, *args: b"".join(d.get_stream(*args)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_denied_op_counts_as_error(reader):
     _, d, metrics, _, _ = make_world()
     d.upload_file("C", "pw", "f", b"x" * 600, PrivacyLevel.PRIVATE)
     with pytest.raises(AuthenticationError):
-        d.get_file("C", "wrong", "f")
+        READERS[reader](d, "C", "wrong", "f")
     assert (
         metrics.value("distributor_ops_total", op="get_file", status="error")
         == 1
@@ -105,11 +114,13 @@ def test_cache_fill_phase_runs_with_cache_attached():
     assert hist.count == 1
 
 
-def test_audit_records_carry_vids_and_providers():
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_audit_records_carry_vids_and_providers(reader):
     log = AuditLog()
     _, d, _, _, events = make_world(audit=log)
-    d.upload_file("C", "pw", "f", os.urandom(2000), PrivacyLevel.PRIVATE)
-    d.get_file("C", "pw", "f")
+    data = os.urandom(2000)
+    d.upload_file("C", "pw", "f", data, PrivacyLevel.PRIVATE)
+    assert READERS[reader](d, "C", "pw", "f") == data
 
     upload, read = log.events[0], log.events[1]
     assert upload.operation == "upload" and upload.ok

@@ -1,15 +1,18 @@
-"""The pipelined data path against the historical chunk-serial path.
+"""The windowed data path: placement pinned, lock split kept honest.
 
-The pipelined upload plans every chunk inside the critical section (same
-rng-draw and id-allocation order as the serial loop, with emulated load
-accounting) and transfers lock-free in provider batches -- so a
-fault-free pipelined upload must be *bit-identical* to the serial one:
-same placement, same tables, same loads.  These tests pin that
-equivalence plus the semantics the lock split must not lose: upload
-atomicity, write failover, the duplicate-filename guard across the
-lock-free window, and read parity.
+Uploads plan every chunk inside the critical section (rng draws and id
+allocation in serial order, with a working copy of the provider loads)
+and transfer lock-free in per-provider batches, one window at a time --
+so placement must not depend on the window size, and must match what the
+historical chunk-serial loop placed.  These tests pin both, plus the
+semantics the lock split must not lose: upload atomicity, write
+failover, the duplicate-filename guard across the lock-free window, and
+read parity between ``get_file`` and ``get_stream``.
 """
 
+import hashlib
+import io
+import json
 import os
 import threading
 
@@ -22,7 +25,7 @@ from repro.providers.registry import ProviderSpec, build_simulated_fleet
 from repro.raid.striping import RaidLevel
 
 
-def make_distributor(n=6, width=4, seed=63, pipelined=True, **kwargs):
+def make_distributor(n=6, width=4, seed=63, **kwargs):
     specs = [
         ProviderSpec(f"P{i}", PrivacyLevel.PRIVATE, CostLevel.CHEAP)
         for i in range(n)
@@ -33,7 +36,6 @@ def make_distributor(n=6, width=4, seed=63, pipelined=True, **kwargs):
         chunk_policy=ChunkSizePolicy.uniform(512),
         stripe_width=width,
         seed=seed,
-        pipelined=pipelined,
         **kwargs,
     )
     d.register_client("C")
@@ -51,24 +53,46 @@ def sabotage_puts(victim):
 DATA = bytes(range(256)) * 40  # 10240 bytes -> 20 chunks at 512
 
 
+def placement_state(d):
+    """Everything placement decides (the credentials carry random salts)."""
+    return {k: v for k, v in d.export_metadata().items() if k != "access"}
+
+
+#: sha256 of ``placement_state`` after the two uploads below, recorded from
+#: the historical chunk-serial upload path before it was deleted.  Seeded
+#: placement, rng draw order and id allocation must keep matching it.
+SERIAL_PATH_DIGEST = (
+    "9b1a72a8aefadae02129d20c6039006f5f05de4dbbdd2c4bb4cefc029ad7709e"
+)
+SERIAL_PATH_LOADS = {"P0": 18, "P1": 17, "P2": 17, "P3": 17, "P4": 18, "P5": 17}
+
+
 def test_fault_free_pipelined_upload_is_bit_identical_to_serial():
-    serial, _ = make_distributor(pipelined=False)
-    piped, _ = make_distributor(pipelined=True)
-    serial.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
-                       misleading_fraction=0.1)
-    piped.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
+    d, _ = make_distributor()
+    d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
+                  misleading_fraction=0.1)
+    d.upload_file("C", "pw", "g", DATA[:3000], PrivacyLevel.PRIVATE,
+                  raid_level=RaidLevel.RAID6)
+
+    state = json.dumps(placement_state(d), sort_keys=True).encode()
+    assert hashlib.sha256(state).hexdigest() == SERIAL_PATH_DIGEST
+    assert d.provider_loads() == SERIAL_PATH_LOADS
+    assert d.get_file("C", "pw", "f") == DATA
+
+
+@pytest.mark.parametrize("window_chunks", [1, 3, 20])
+def test_placement_is_window_size_invariant(window_chunks):
+    whole, _ = make_distributor()
+    whole.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
                       misleading_fraction=0.1)
+    windowed, _ = make_distributor()
+    windowed.put_stream("C", "pw", "f", io.BytesIO(DATA),
+                        PrivacyLevel.PRIVATE, misleading_fraction=0.1,
+                        window_chunks=window_chunks)
 
-    # Identical placement, identical tables, identical loads.
-    assert piped.provider_loads() == serial.provider_loads()
-    a, b = serial.export_metadata(), piped.export_metadata()
-    assert a["chunk_table"] == b["chunk_table"]
-    assert a["client_table"] == b["client_table"]
-    assert a["provider_table"] == b["provider_table"]
-    assert a["chunk_state"] == b["chunk_state"]
-
-    assert piped.get_file("C", "pw", "f") == DATA
-    assert serial.get_file("C", "pw", "f") == DATA
+    assert windowed.provider_loads() == whole.provider_loads()
+    assert placement_state(windowed) == placement_state(whole)
+    assert windowed.get_file("C", "pw", "f") == DATA
 
 
 @pytest.mark.parametrize("raid", [RaidLevel.RAID5, RaidLevel.RAID6])
@@ -81,8 +105,7 @@ def test_pipelined_roundtrip_both_raid_levels(raid):
     )
     assert receipt.raid_level is raid
     assert d.get_file("C", "pw", "f") == data
-    # Per-call override: the serial read path sees the same stripes.
-    assert d.get_file("C", "pw", "f", pipelined=False) == data
+    assert b"".join(d.get_stream("C", "pw", "f", window_chunks=1)) == data
 
 
 def test_pipelined_upload_rolls_back_whole_file_when_chunk_lost():
@@ -129,8 +152,7 @@ def test_duplicate_filename_rejected_while_upload_in_flight():
     with pytest.raises(ValueError, match="already stores"):
         d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
     with pytest.raises(ValueError, match="already stores"):
-        d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
-                      pipelined=False)
+        d.put_stream("C", "pw", "f", io.BytesIO(DATA), PrivacyLevel.PRIVATE)
     d._inflight_uploads.clear()
     d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
 
@@ -163,8 +185,10 @@ def test_get_file_parity_between_paths():
     data = os.urandom(5000)
     d.upload_file("C", "pw", "f", data, PrivacyLevel.PRIVATE,
                   misleading_fraction=0.15)
-    assert d.get_file("C", "pw", "f", pipelined=True) == data
-    assert d.get_file("C", "pw", "f", pipelined=False) == data
+    assert d.get_file("C", "pw", "f") == data
+    for window_chunks in (1, 3, 100):
+        segments = d.get_stream("C", "pw", "f", window_chunks=window_chunks)
+        assert b"".join(segments) == data
 
 
 def test_pipelined_get_survives_dead_member():
