@@ -1,7 +1,7 @@
 """Subprocess driver for the constant-memory streaming gate.
 
 Streams a sparse-synthesized multi-GB file through the full data path --
-``put_stream`` -> STREAM_PUT wire sessions -> :class:`AsyncChunkServer`
+``put_stream`` -> STREAM_PUT wire sessions -> :class:`ChunkServer`
 -> :class:`DiskProvider`, then back via ``get_stream`` -- and reports the
 process's RSS high-water against a baseline taken after warm-up.
 
@@ -27,9 +27,9 @@ from pathlib import Path
 
 from repro.core.distributor import CloudDataDistributor
 from repro.core.privacy import PrivacyLevel
-from repro.net.async_server import AsyncChunkServer
 from repro.net.cluster import LocalCluster
 from repro.net.remote import RetryPolicy
+from repro.net.server import ChunkServer
 from repro.providers.disk import DiskProvider
 
 NODES = 4
@@ -83,7 +83,7 @@ def main() -> None:
     ]
     with LocalCluster(
         backends=backends,
-        server_cls=AsyncChunkServer,
+        server_cls=ChunkServer,
         retry=RetryPolicy(attempts=2, base_delay=0.01),
         op_timeout=60.0,
     ) as cluster:

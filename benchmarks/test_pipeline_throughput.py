@@ -319,7 +319,7 @@ def test_stream_throughput(benchmark, save_result):
         ],
         title=(
             f"NET: STREAMING DATA PATH ({NODES} socket providers, "
-            f"async server on the multi-GB case)"
+            f"disk backends on the multi-GB case)"
         ),
     )
     save_result("stream_throughput", table)

@@ -23,10 +23,9 @@ class LocalCluster:
 
     ``backends`` defaults to in-memory stores named ``node0..node{n-1}``;
     pass explicit :class:`CloudProvider` instances (e.g. ``DiskProvider``)
-    to persist across restarts.  ``server_cls`` picks the front-end --
-    the threaded :class:`ChunkServer` (default) or the event-loop
-    :class:`~repro.net.async_server.AsyncChunkServer`; both speak the
-    same wire.  Usable as a context manager.
+    to persist across restarts.  ``server_cls`` is the server class each
+    backend is fronted by (:class:`ChunkServer` or a subclass of it).
+    Usable as a context manager.
     """
 
     def __init__(
@@ -115,9 +114,7 @@ class LocalCluster:
         server = self.servers[index]
         if server.running:
             raise RuntimeError(f"server {index} is still running")
-        # Revive with the dead server's own class, so mixed fleets
-        # (threaded + async front-ends) restart into the same shape.
-        revived = type(server)(
+        revived = self.server_cls(
             server.backend, host=self.host, port=self._ports[index]
         ).start()
         self.servers[index] = revived

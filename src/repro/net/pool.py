@@ -38,16 +38,13 @@ class StaleConnectionError(OSError):
 
 
 def classify_stale(exc: Exception, fresh: bool) -> Exception:
-    """Shared reclassification for transport failures on pooled sockets.
+    """Reclassify a transport failure on a pooled socket.
 
     A failure on a *reused* socket is pool staleness -- the park-then-die
     pattern -- and comes back as :class:`StaleConnectionError` so callers
     redial for free instead of burning retry budget.  A failure on a
     freshly dialed socket is returned unchanged: that one really is
-    evidence about the server.  Both the threaded
-    (:class:`~repro.net.remote.RemoteProvider`) and asyncio
-    (:class:`~repro.net.async_client.AsyncChunkClient`) paths route
-    through here so the semantics cannot drift apart.
+    evidence about the server.
     """
     if fresh or isinstance(exc, StaleConnectionError):
         return exc

@@ -184,20 +184,6 @@ class RemoteProvider(CloudProvider):
             self.tracer.attach_remote(records)
         return inner
 
-    @staticmethod
-    def _classify(exc: Exception, fresh: bool) -> Exception:
-        """A transport failure on a *reused* socket is pool staleness.
-
-        The server may have restarted since the socket was parked; the
-        failure says nothing about its current health, so it is re-raised
-        as :class:`StaleConnectionError` -- redialed for free by
-        ``_with_retries`` instead of burning retry budget or feeding
-        false negatives to circuit breakers and health monitors.  The
-        rule itself lives in :func:`repro.net.pool.classify_stale`, shared
-        with the asyncio client so the two paths cannot drift.
-        """
-        return classify_stale(exc, fresh)
-
     def _check_deadline(self, what: str) -> Deadline | None:
         """Ambient deadline, checked (and counted) before starting I/O."""
         deadline = current_deadline()
@@ -293,7 +279,7 @@ class RemoteProvider(CloudProvider):
                         return inner
                     return frame
             except (OSError, ProtocolError) as exc:
-                raise self._classify(exc, leased.fresh) from exc
+                raise classify_stale(exc, leased.fresh) from exc
 
     @staticmethod
     def _join_payload(payload) -> bytes:
@@ -404,7 +390,7 @@ class RemoteProvider(CloudProvider):
                         self._server_traced = True
                     return frames
             except (OSError, ProtocolError) as exc:
-                raise self._classify(exc, leased.fresh) from exc
+                raise classify_stale(exc, leased.fresh) from exc
 
     def _with_retries(self, exchange):
         """Run *exchange* under the retry budget and circuit breaker.
@@ -833,7 +819,7 @@ class RemoteProvider(CloudProvider):
                 finally:
                     rfile.close()
             except (OSError, ProtocolError) as exc:
-                raise self._classify(exc, leased.fresh) from exc
+                raise classify_stale(exc, leased.fresh) from exc
 
     def _exchange_stream_get(self, keys: list[str]):
         """One STREAM_GET exchange: count header, then one frame per key.
@@ -890,7 +876,7 @@ class RemoteProvider(CloudProvider):
                 finally:
                     rfile.close()
             except (OSError, ProtocolError) as exc:
-                raise self._classify(exc, leased.fresh) from exc
+                raise classify_stale(exc, leased.fresh) from exc
 
     def put_stream(
         self, items: list[tuple[str, bytes]]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import threading
 
@@ -14,7 +15,14 @@ from repro.core.errors import (
     ProviderUnavailableError,
 )
 from repro.net.pool import ConnectionPool
-from repro.net.protocol import Status, encode_frame, recv_frame
+from repro.net.protocol import (
+    OpCode,
+    Status,
+    encode_deadline_request,
+    encode_frame,
+    read_frame,
+    recv_frame,
+)
 from repro.net.remote import RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer
 from repro.providers.memory import InMemoryProvider
@@ -152,6 +160,90 @@ def test_server_answers_unknown_opcode(served):
         sock.sendall(encode_frame(0x7F, "k", b""))
         frame = recv_frame(sock)
     assert frame.code == Status.BAD_REQUEST
+
+
+# SHA-256 of the server's response bytes for each request sequence.  A
+# mismatch is a wire change: deployed clients parse exactly these bytes.
+WIRE_GOLDEN = {
+    "ping": (
+        [encode_frame(OpCode.PING, payload=b"ping")],
+        1,
+        "7051760c2c710fcaa26baa3d1e85b752a6ba35f95488b144eb54b31e826d7d45",
+    ),
+    "put-get-missing": (
+        [
+            encode_frame(OpCode.PUT, key="k", payload=b"data"),
+            encode_frame(OpCode.GET, key="k"),
+            encode_frame(OpCode.GET, key="missing"),
+        ],
+        3,
+        "561b2c1958770ca290443446ce00d0d64e04da4c90bdceeb75e78af307e396e9",
+    ),
+    "unknown-opcode": (
+        [encode_frame(0x7F)],
+        1,
+        "23c2883befbdd0dcabaefc7f34c7429bd78a345f0aa605a0a96a39df4036c761",
+    ),
+    "enveloped-stream-op": (
+        [
+            encode_frame(
+                OpCode.DEADLINE,
+                payload=encode_deadline_request(
+                    5000, encode_frame(OpCode.STREAM_PUT)
+                ),
+            )
+        ],
+        1,
+        "60ca31ec64e2e725839af33f56b110ac739486fc89af2353157f682e722a94db",
+    ),
+    "stream-window": (
+        [
+            encode_frame(OpCode.STREAM_PUT),
+            encode_frame(OpCode.STREAM_SEG, key="s", payload=b"seg"),
+            encode_frame(OpCode.STREAM_END),
+            encode_frame(OpCode.GET, key="s"),
+        ],
+        4,
+        "aed47a1b58de34f2a323c5a75b8a1a7a9a9c43b7b9d190b7c6fd2a48413edb38",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(WIRE_GOLDEN))
+def test_chunk_server_answers_are_pinned(scenario):
+    requests, reads, golden = WIRE_GOLDEN[scenario]
+    with ChunkServer(InMemoryProvider("golden")) as server:
+        with socket.create_connection(
+            (server.host, server.port), timeout=5
+        ) as sock:
+            for raw in requests:
+                sock.sendall(raw)
+            with sock.makefile("rb") as rfile:
+                answers = b""
+                for _ in range(reads):
+                    frame = read_frame(rfile)
+                    assert frame is not None
+                    answers += encode_frame(
+                        frame.code, key=frame.key, payload=frame.payload
+                    )
+    assert hashlib.sha256(answers).hexdigest() == golden
+
+
+def test_shed_frame_is_pinned():
+    backend = InMemoryProvider("golden")
+    with ChunkServer(backend, max_workers=1, accept_queue=1) as server:
+        address = (server.host, server.port)
+        with socket.create_connection(address, timeout=5) as pinned:
+            pinned.sendall(encode_frame(OpCode.PING, payload=b"x"))
+            assert recv_frame(pinned).code == Status.OK
+            with socket.create_connection(address, timeout=5):
+                with socket.create_connection(address, timeout=5) as shed:
+                    raw = b""
+                    while chunk := shed.recv(4096):
+                        raw += chunk
+    assert hashlib.sha256(raw).hexdigest() == (
+        "3b8e196ec1bf5c922cf53cba3a85854d08a2740fdc97664fa0af6c08652df23f"
+    )
 
 
 def test_server_hangs_up_on_garbage(served):
